@@ -3,7 +3,7 @@
 // schema, and the per-kind event counts must reconcile exactly with the
 // detector counters recorded in summary.json. It is the consumer-side half
 // of the observability contract (docs/OBSERVABILITY.md) and the check
-// `make trace-smoke` runs in CI.
+// its package test runs against a real `tsvd-run -trace` output.
 //
 // Usage:
 //
@@ -13,6 +13,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -22,10 +23,6 @@ import (
 )
 
 func main() {
-	os.Exit(run())
-}
-
-func run() int {
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(), "usage: tsvd-trace-check <trace-dir>\n")
 		flag.PrintDefaults()
@@ -33,59 +30,55 @@ func run() int {
 	flag.Parse()
 	if flag.NArg() != 1 {
 		flag.Usage()
-		return 2
+		os.Exit(2)
 	}
 	dir := flag.Arg(0)
-
-	sf, err := os.Open(filepath.Join(dir, "summary.json"))
+	events, kinds, err := check(dir)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "tsvd-trace-check: %v\n", err)
-		return 1
+		os.Exit(1)
+	}
+	fmt.Printf("tsvd-trace-check: %s ok — %d events, %d kinds, counters reconcile, 0 dropped\n",
+		dir, events, kinds)
+}
+
+// check validates the trace directory dir and returns its event and kind
+// counts, or an error naming every mismatch found.
+func check(dir string) (events int64, kinds int, err error) {
+	sf, err := os.Open(filepath.Join(dir, "summary.json"))
+	if err != nil {
+		return 0, 0, err
 	}
 	sum, err := trace.ReadSummary(sf)
 	sf.Close()
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "tsvd-trace-check: %v\n", err)
-		return 1
+		return 0, 0, err
 	}
 
 	ef, err := os.Open(filepath.Join(dir, "events.jsonl"))
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "tsvd-trace-check: %v\n", err)
-		return 1
+		return 0, 0, err
 	}
 	counts, err := trace.ValidateJSONL(ef)
 	ef.Close()
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "tsvd-trace-check: %v\n", err)
-		return 1
+		return 0, 0, err
 	}
 
-	ok := true
-	var total int64
+	var errs []error
 	for _, n := range counts {
-		total += n
+		events += n
 	}
-	if total != sum.Drained {
-		fmt.Fprintf(os.Stderr, "tsvd-trace-check: events.jsonl has %d events, summary says %d drained\n",
-			total, sum.Drained)
-		ok = false
+	if events != sum.Drained {
+		errs = append(errs, fmt.Errorf("events.jsonl has %d events, summary says %d drained", events, sum.Drained))
 	}
 	for kind, n := range sum.ByKind {
 		if counts[kind] != n {
-			fmt.Fprintf(os.Stderr, "tsvd-trace-check: %s: %d in events.jsonl, %d in summary\n",
-				kind, counts[kind], n)
-			ok = false
+			errs = append(errs, fmt.Errorf("%s: %d in events.jsonl, %d in summary", kind, counts[kind], n))
 		}
 	}
 	if err := trace.Reconcile(counts, sum.Stats, sum.Store, sum.Dropped); err != nil {
-		fmt.Fprintf(os.Stderr, "tsvd-trace-check: %v\n", err)
-		ok = false
+		errs = append(errs, err)
 	}
-	if !ok {
-		return 1
-	}
-	fmt.Printf("tsvd-trace-check: %s ok — %d events, %d kinds, counters reconcile, 0 dropped\n",
-		dir, total, len(counts))
-	return 0
+	return events, len(counts), errors.Join(errs...)
 }

@@ -19,7 +19,7 @@
 //   - Exact observability: every shard run's trace events reconcile against
 //     its detector Stats and store totals (the tsvd-trace-check rule,
 //     in-process), and its exported metrics series match the same counters
-//     (the tsvd-metrics-check rule).
+//     (the harness TestSmokeMetrics rule).
 //   - Anti-entropy liveness: a sync leg between two healthy, unpartitioned
 //     daemons never fails.
 //   - Cluster convergence: after the plan's closing converge — partitions
@@ -32,8 +32,8 @@
 // replays exactly. Failing plans are minimized ddmin-style to a smaller
 // failing action list, explained with an error-invariant-style slice of the
 // events that touched the offending pairs, and committed to
-// internal/chaos/regression_seeds.json, which `make chaos-smoke` replays
-// forever (docs/TESTING.md).
+// internal/chaos/regression_seeds.json, which TestRegressionSeedsReplay
+// replays forever (docs/TESTING.md).
 package chaos
 
 import (

@@ -307,7 +307,7 @@ func (f *fleet) peerSync(act int, m *model) *Violation {
 // harness, Fallback(HTTPStore, FileStore), tracer, metrics — then applies
 // the in-process oracles: store-error classification, ground-truth
 // containment, exact trace reconciliation (the tsvd-trace-check rule) and
-// exact metrics reconciliation (the tsvd-metrics-check rule) — and folds the
+// exact metrics reconciliation (the harness TestSmokeMetrics rule) — and folds the
 // observed outcome into the model.
 func (f *fleet) runShard(act int, a action, m *model) *Violation {
 	cfg := config.Defaults(a.algo).Scaled(chaosScale)
@@ -441,7 +441,7 @@ func storeTraceTail(buf *bytes.Buffer) []string {
 	return tail
 }
 
-// reconcileMetrics applies the tsvd-metrics-check rule in-process: detector
+// reconcileMetrics applies the harness TestSmokeMetrics rule: detector
 // series equal Outcome.Stats, store series equal the wire totals.
 func reconcileMetrics(act, shard int, detReg, storeReg *metrics.Registry, out *harness.Outcome,
 	rem trace.StoreTotals, fbOwnFallbacks int64) *Violation {

@@ -36,7 +36,7 @@ type SeedEntry struct {
 }
 
 // SeedDB is the committed regression-seed database
-// (internal/chaos/regression_seeds.json), replayed by `make chaos-smoke`.
+// (internal/chaos/regression_seeds.json), replayed by TestRegressionSeedsReplay.
 type SeedDB struct {
 	// Version is the database format version (currently 1).
 	Version int `json:"version"`

@@ -10,8 +10,8 @@
 // reads only the monotonic clock for that reason), near-miss gaps and HB
 // thresholds are differences of those timestamps, and injected delays go
 // through Clock.Sleep so a trap can be woken early by its cancel channel
-// when the conflicting access arrives. Budget and BudgetTable sit between
-// the detector's decision to delay and the sleep itself: they cap the total
+// when the conflicting access arrives. Budget sits between the
+// detector's decision to delay and the sleep itself: it caps the total
 // delay charged to any one thread (§4, runtime feature 2) so instrumented
 // tests cannot be pushed past their timeouts, with early-woken time
 // refunded.

@@ -2,6 +2,7 @@ package clock
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -107,46 +108,32 @@ func TestBudgetRefund(t *testing.T) {
 	}
 }
 
-func TestBudgetTable(t *testing.T) {
-	table := BudgetTable{Max: 10 * time.Millisecond}
-
-	// Same thread always resolves to the same Budget, carrying Max.
-	b := table.For(1)
-	if b.Max != 10*time.Millisecond {
-		t.Fatalf("Budget.Max = %v, want table Max", b.Max)
-	}
-	if table.For(1) != b {
-		t.Fatal("second For(1) returned a different Budget")
-	}
-	if table.For(2) == b {
-		t.Fatal("distinct threads share a Budget")
-	}
-
-	// Concurrent first lookups for one new thread agree on a single winner,
-	// and charges land on that one budget.
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			table.For(3).Allow(time.Millisecond)
-		}()
-	}
-	wg.Wait()
-	if got := table.For(3).Used(); got != 8*time.Millisecond {
-		t.Fatalf("Used = %v, want 8ms (lost charges across For calls)", got)
-	}
-
-	// Range visits every thread exactly once.
-	seen := map[int64]bool{}
-	table.Range(func(thread int64, b *Budget) bool {
-		if b == nil || seen[thread] {
-			t.Fatalf("Range visited thread %d badly", thread)
+// TestBudgetConcurrentCharge checks that concurrent charges on one Budget
+// are never lost and never overshoot the cap: the detector charges a
+// thread's budget from that thread, but refunds and scrapes race it.
+func TestBudgetConcurrentCharge(t *testing.T) {
+	b := &Budget{Max: 10 * time.Millisecond}
+	var granted atomic.Int64
+	charge := func(n int) {
+		var wg sync.WaitGroup
+		for i := 0; i < n; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				granted.Add(int64(b.Allow(time.Millisecond)))
+			}()
 		}
-		seen[thread] = true
-		return true
-	})
-	if len(seen) != 3 {
-		t.Fatalf("Range visited %d threads, want 3", len(seen))
+		wg.Wait()
+	}
+	charge(8)
+	if got := b.Used(); got != 8*time.Millisecond {
+		t.Fatalf("Used = %v, want 8ms (lost concurrent charges)", got)
+	}
+	charge(8) // only 2ms of cap left for 8 requests
+	if got := b.Used(); got != 10*time.Millisecond {
+		t.Fatalf("Used = %v, want the 10ms cap", got)
+	}
+	if got := time.Duration(granted.Load()); got != 10*time.Millisecond {
+		t.Fatalf("granted %v in total, want exactly the 10ms cap", got)
 	}
 }

@@ -9,7 +9,6 @@
 package config
 
 import (
-	"runtime"
 	"time"
 
 	"repro/internal/sites"
@@ -169,17 +168,6 @@ type Config struct {
 	// Zero means unlimited.
 	MaxDelayPerThread time.Duration
 
-	// --- Runtime scalability (docs/PERFORMANCE.md) ---
-
-	// ShardCount is the number of stripes the detector's per-object state
-	// was split into before the per-object runtime made striping moot:
-	// every object now carries its own state and lock, so accesses to
-	// unrelated objects share nothing at all.
-	//
-	// Deprecated: the knob is accepted and validated for compatibility but
-	// no longer affects the detector.
-	ShardCount int
-
 	// Sites is the site registry the detector interns instrumentation
 	// sites into and resolves report metadata from. Sharing one registry
 	// across detectors (the harness does this per suite) keeps SiteIDs
@@ -279,33 +267,6 @@ func (c Config) Scaled(factor float64) Config {
 	return c
 }
 
-// maxShardCount bounds the stripe table; beyond this, shard-selection cache
-// misses cost more than the contention they avoid.
-const maxShardCount = 1 << 14
-
-// EffectiveShardCount resolves ShardCount to the power of two the runtime
-// allocates: the configured value rounded up, or — when 0 — four stripes
-// per GOMAXPROCS (and at least 8), so collisions stay rare at full
-// hardware parallelism without a measurable memory cost (a shard is a
-// mutex plus three map headers).
-func (c Config) EffectiveShardCount() int {
-	n := c.ShardCount
-	if n <= 0 {
-		n = 4 * runtime.GOMAXPROCS(0)
-		if n < 8 {
-			n = 8
-		}
-	}
-	if n > maxShardCount {
-		n = maxShardCount
-	}
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return p
-}
-
 // EffectiveDelay returns DelayTime after TimeScale is applied.
 func (c Config) EffectiveDelay() time.Duration {
 	return scale(c.DelayTime, c.TimeScale)
@@ -375,8 +336,6 @@ func (c Config) Validate() error {
 		return errValue("StaticSampleProbability must be in [0,1]")
 	case c.TimeScale < 0:
 		return errValue("TimeScale must be >= 0")
-	case c.ShardCount < 0:
-		return errValue("ShardCount must be >= 0 (0 derives from GOMAXPROCS)")
 	case c.TraceBufferSize < 0:
 		return errValue("TraceBufferSize must be >= 0 (0 selects the default)")
 	}

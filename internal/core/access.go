@@ -57,9 +57,9 @@ func Conflicts(a, b Kind) bool { return a == KindWrite || b == KindWrite }
 // strings — API metadata (class, method) lives in the detector's site
 // registry, interned once at registration time, and is resolved back only
 // when a report is built. Site may be zero for accesses fabricated without a
-// registry (tests, legacy callers); the detector then falls back to the
-// registry's op-keyed resolution. Migrating string-keyed callers go through
-// AccessLegacy / OnCallLegacy instead.
+// registry (tests); the detector then falls back to the registry's op-keyed
+// resolution. String-keyed instrumentation interns its sites once via
+// Detector.Sites().ForCall and passes the returned SiteID.
 type Access struct {
 	Thread ids.ThreadID
 	Obj    ids.ObjectID
@@ -68,39 +68,6 @@ type Access struct {
 	// kind) tuple, from the detector's sites.Registry.
 	Site ids.SiteID
 	Kind Kind
-}
-
-// AccessLegacy is the pre-site-registry access shape: API metadata carried
-// as strings on every call. It exists so string-keyed instrumentation can
-// migrate mechanically — build the same struct, call OnCallLegacy — while
-// the hot path underneath runs on interned site ids.
-//
-// Deprecated: intern a site once via Detector.Sites().ForCall (or
-// tsvd.RegisterSite) and pass Access with the SiteID instead; the string
-// path pays an intern probe with two string compares on every call.
-type AccessLegacy struct {
-	Thread ids.ThreadID
-	Obj    ids.ObjectID
-	Op     ids.OpID
-	Kind   Kind
-	// Class and Method name the API, e.g. "Dictionary", "Add".
-	Class  string
-	Method string
-}
-
-// OnCallLegacy is the compatibility shim for string-keyed instrumentation:
-// it interns the (op, class, method, kind) tuple in d's site registry — one
-// lock-free probe plus two string compares after the first call per site —
-// and forwards the interned Access to d.OnCall. Detection behavior is
-// identical to the SiteID path; only the per-call intern probe differs.
-func OnCallLegacy(d Detector, a AccessLegacy) {
-	d.OnCall(Access{
-		Thread: a.Thread,
-		Obj:    a.Obj,
-		Op:     a.Op,
-		Site:   d.Sites().ForCall(a.Op, a.Class, a.Method, a.Kind == KindWrite),
-		Kind:   a.Kind,
-	})
 }
 
 // Detector is the runtime interface instrumented programs call into.
@@ -182,6 +149,11 @@ type Stats struct {
 	// SamplerThrottles counts adaptive-sampling controller runs that
 	// adjusted the global admission probability (config.Config.OverheadTarget).
 	SamplerThrottles int64
+	// StampsRaised counts shared-mode accesses whose timestamp was raised
+	// to the object's newest history entry: another thread recorded a
+	// later-stamped access between this call's clock read and its history
+	// append. Raising keeps every near-miss gap non-negative.
+	StampsRaised int64
 	// NearMissGaps is a log₂ histogram of the time gap between the two
 	// sides of each near miss, in microseconds: bucket i counts gaps in
 	// [2^i, 2^(i+1)) µs. It quantifies the coarse-interleaving-hypothesis

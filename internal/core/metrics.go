@@ -27,11 +27,11 @@ import (
 //     off the conflict-free fast path. Each Observe is a short bounds scan
 //     plus three atomic adds, allocation-free.
 //
-// Exact-reconciliation contract (enforced by cmd/tsvd-metrics-check): the
-// gap histogram's count equals Stats.NearMisses, the granted-delay
-// histogram's count equals Stats.DelaysInjected, and the occupancy
-// histogram's count equals Stats.PairsAdded — every increment of those
-// counters is co-located with exactly one Observe.
+// Exact-reconciliation contract (enforced by internal/harness
+// TestSmokeMetrics): the gap histogram's count equals Stats.NearMisses, the
+// granted-delay histogram's count equals Stats.DelaysInjected, and the
+// occupancy histogram's count equals Stats.PairsAdded — every increment of
+// those counters is co-located with exactly one Observe.
 type DetectorMetrics struct {
 	gaps      *metrics.Histogram
 	delays    *metrics.Histogram
@@ -102,6 +102,9 @@ func NewDetectorMetrics(reg *metrics.Registry) *DetectorMetrics {
 	counter("tsvd_detector_sequential_skips_total",
 		"Near-miss candidates discarded in sequential phases.",
 		func(s Stats) float64 { return float64(s.SequentialSkips) })
+	counter("tsvd_detector_stamps_raised_total",
+		"Shared-mode access timestamps raised to the object's newest history entry.",
+		func(s Stats) float64 { return float64(s.StampsRaised) })
 	counter("tsvd_sampler_calls_sampled_out_total",
 		"Instrumented calls skipped by the sampling gate (ModeSampled).",
 		func(s Stats) float64 { return float64(s.CallsSampledOut) })
@@ -169,6 +172,7 @@ func (m *DetectorMetrics) sum() Stats {
 		out.CallsSampledOut += s.CallsSampledOut
 		out.DelaysSuppressed += s.DelaysSuppressed
 		out.SamplerThrottles += s.SamplerThrottles
+		out.StampsRaised += s.StampsRaised
 		out.NearMissGaps.Add(s.NearMissGaps)
 	}
 	return out

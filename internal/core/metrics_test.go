@@ -34,7 +34,7 @@ func scrapeValues(t *testing.T, reg *metrics.Registry) map[string]float64 {
 }
 
 // TestDetectorMetricsReconcileWithStats is the in-package version of the
-// cmd/tsvd-metrics-check contract: every exported counter equals the
+// harness TestSmokeMetrics contract: every exported counter equals the
 // corresponding Stats field exactly, and the histogram counts equal the
 // counters they are co-located with.
 func TestDetectorMetricsReconcileWithStats(t *testing.T) {

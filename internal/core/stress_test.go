@@ -5,9 +5,11 @@ import (
 	goruntime "runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/config"
 	"repro/internal/ids"
+	"repro/internal/trace"
 )
 
 // TestObjHistoryNewestFirst pins the iteration order of the per-object ring:
@@ -200,4 +202,74 @@ func TestDenseRuntimeStressWithConflicts(t *testing.T) {
 			t.Fatalf("interned side lost its class metadata: %+v", v)
 		}
 	}
+}
+
+// TestNearMissGapsNeverNegative hammers one shared-mode object from several
+// procs with conflicting writes. Each OnCall reads its timestamp before it
+// takes the object's lock, so a thread can find a later-stamped entry
+// already in the history; the scan must raise its stamp rather than report
+// a negative gap to the trace, the gap histogram and the metrics.
+func TestNearMissGapsNeverNegative(t *testing.T) {
+	if goruntime.GOMAXPROCS(0) < 4 {
+		defer goruntime.GOMAXPROCS(goruntime.GOMAXPROCS(4))
+	}
+	cfg := testConfig(config.AlgoTSVD)
+	cfg.Mode = config.ModeObserveOnly // no sleeps: keep the lock hot
+	cfg.DisableNearMissWindow = true  // every conflicting pair is a near miss
+	cfg.Trace = true
+	d := mustNew(t, cfg)
+	tr := d.Tracer()
+
+	const goroutines, perG = 8, 4000
+	var negative, nearMisses int64
+	var minGap time.Duration
+	check := func(evs []trace.Event) {
+		for _, ev := range evs {
+			if ev.Kind != trace.KindNearMiss {
+				continue
+			}
+			nearMisses++
+			if ev.Dur < 0 {
+				negative++
+				minGap = min(minGap, ev.Dur)
+			}
+		}
+	}
+	stop := make(chan struct{})
+	drained := make(chan struct{})
+	go func() {
+		defer close(drained)
+		for {
+			check(tr.Drain())
+			select {
+			case <-stop:
+				return
+			default:
+				time.Sleep(100 * time.Microsecond)
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < perG; i++ {
+				d.OnCall(acc(ids.ThreadID(g+1), 1, ids.OpID(300+g), KindWrite))
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(stop)
+	<-drained
+	check(tr.Drain())
+
+	if nearMisses == 0 {
+		t.Fatal("conflicting workload produced no near misses")
+	}
+	if negative > 0 {
+		t.Fatalf("%d of %d near-miss gaps negative (min %v); stamps raised: %d",
+			negative, nearMisses, minGap, d.Stats().StampsRaised)
+	}
+	t.Logf("%d near misses, %d stamps raised", nearMisses, d.Stats().StampsRaised)
 }

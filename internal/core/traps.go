@@ -33,6 +33,9 @@ type trap struct {
 	conflict bool
 	// canceled guards double-close of cancel.
 	canceled bool
+	// sprang holds the pairs this thread caught when it registered the
+	// trap; variants with a trap set prune them, as after checkForTraps.
+	sprang []report.PairKey
 }
 
 // spinMutex is the per-object lock. Critical sections under it are tiny — a
@@ -169,6 +172,11 @@ type threadState struct {
 	// (docs/SAMPLING.md).
 	rng uint64
 
+	// budget caps the total delay injected into this thread (§4 runtime
+	// feature 2). It is internally atomic, so charges and refunds take no
+	// lock.
+	budget clock.Budget
+
 	// cachedObj/cachedState short-circuit the object-registry probe while a
 	// thread stays on one object (the common loop shape).
 	cachedObj   ids.ObjectID
@@ -277,15 +285,16 @@ const (
 )
 
 // runtime is the state shared by every detector variant: configuration,
-// time source, the site registry, the per-object and per-thread registries,
-// delay budgets, statistics and the report collector. Detector-specific
-// state lives in the variant structs. There is no global lock and no hashing
-// on the admitted fast path beyond two lock-free integer-keyed probes:
-// per-object state hangs off a lock-free object registry, per-thread state
-// (including the hot counters) off a thread registry, per-site state
-// (coverage, sampler admission) is indexed directly by dense SiteIDs, and
-// injected delays always sleep outside every lock so any number of traps can
-// be parked concurrently (§3.4.6 "Parallel delay injection").
+// time source, the site registry, the per-object and per-thread registries
+// (the latter carrying each thread's delay budget), statistics and the
+// report collector. Detector-specific state lives in the variant structs.
+// There is no global lock and no hashing on the admitted fast path beyond
+// two lock-free integer-keyed probes: per-object state hangs off a
+// lock-free object registry, per-thread state (including the hot counters)
+// off a thread registry, per-site state (coverage, sampler admission) is
+// indexed directly by dense SiteIDs, and injected delays always sleep
+// outside every lock so any number of traps can be parked concurrently
+// (§3.4.6 "Parallel delay injection").
 // docs/PERFORMANCE.md documents the full cost model.
 type runtime struct {
 	cfg   config.Config
@@ -335,10 +344,6 @@ type runtime struct {
 	// skips the object's trap scan entirely while it is zero — on a
 	// conflict-free workload OnCall never touches the trap table at all.
 	parked atomic.Int64
-
-	// budgets hands out the per-thread delay budgets (§4 runtime feature
-	// 2) from a concurrent map; each Budget is internally atomic.
-	budgets clock.BudgetTable
 
 	// cover is the dense per-site coverage flag table; covered keeps the
 	// op-keyed records behind it so the public counters stay op-distinct
@@ -397,7 +402,6 @@ func (r *runtime) init(cfg config.Config, o options) {
 	r.nearMissWindow = cfg.EffectiveNearMissWindow()
 	r.maxDelay = cfg.EffectiveMaxDelayPerThread()
 	r.hbThreshold = time.Duration(cfg.HBBlockThreshold * float64(r.delayTime))
-	r.budgets = clock.BudgetTable{Max: r.maxDelay}
 	r.mode = cfg.Mode
 	if cfg.Mode == config.ModeSampled {
 		r.samp = sampler.New(sampler.Params{
@@ -431,10 +435,9 @@ func (r *runtime) nowSlow() time.Duration {
 }
 
 // resolveSite fills in a dense site id for accesses that arrive without one
-// (the legacy string path after interning, and fabricated test accesses):
-// the registry's op-keyed fallback, one lock-free probe after the first call
-// per (op, kind). Accesses from migrated instrumentation carry their SiteID
-// already and skip this entirely.
+// (fabricated test accesses): the registry's op-keyed fallback, one
+// lock-free probe after the first call per (op, kind). Accesses from
+// instrumentation carry their SiteID already and skip this entirely.
 func (r *runtime) resolveSite(a *Access) {
 	if a.Site == 0 {
 		a.Site = r.sites.ForOpKind(a.Op, a.Kind == KindWrite)
@@ -455,6 +458,7 @@ func (r *runtime) newThreadState(t ids.ThreadID) *threadState {
 	st, _ := r.threads.GetOrCreate(int64(t), func() *threadState {
 		return &threadState{
 			rng:        sampler.SeedRand(r.cfg.Seed, int64(t)),
+			budget:     clock.Budget{Max: r.maxDelay},
 			lastAccess: noAccessYet,
 		}
 	})
@@ -543,11 +547,12 @@ func (r *runtime) side(thread ids.ThreadID, op ids.OpID, site ids.SiteID, kind K
 // no-false-positives argument intact: both threads are provably inside
 // conflicting calls on the same object at the same moment. It returns the
 // pair keys of the violations found so variants can prune them from their
-// trap sets (outside the object lock).
-func (r *runtime) checkForTraps(os *objState, a Access, stackOf func() string) []report.PairKey {
+// trap sets (outside the object lock). liveOnly skips traps another thread
+// already sprang; injectDelay sets it for its registration-time check.
+func (r *runtime) checkForTraps(os *objState, a Access, stackOf func() string, liveOnly bool) []report.PairKey {
 	var found []report.PairKey
 	for _, t := range os.traps {
-		if t.access.Thread == a.Thread || !Conflicts(t.access.Kind, a.Kind) {
+		if t.access.Thread == a.Thread || !Conflicts(t.access.Kind, a.Kind) || liveOnly && t.canceled {
 			continue
 		}
 		r.stats.violations.Add(1)
@@ -592,11 +597,12 @@ func (r *runtime) anyTrapSet() bool { return r.parked.Load() > 0 }
 // nominal duration actually slept. The caller holds no locks.
 //
 // The trap becomes visible to other threads only once it is registered
-// under the object's lock; a conflicting access that scans strictly before
-// registration completes simply misses this trap — a loss of one detection
-// opportunity, never a false positive. The single-mutex runtime had the
-// same property: its atomicity only extended until the sleeping thread
-// dropped the lock.
+// under the object's lock. A conflicting access that scans strictly before
+// registration completes misses this trap; if that access is itself about
+// to be delayed, its own registration scans again under the lock and
+// springs every live trap it conflicts with — the calling thread is at its
+// call point, so this is as red-handed as the entry check. Two threads
+// arming at the same instant therefore cannot both miss each other.
 func (r *runtime) injectDelay(a Access, d time.Duration) (*trap, time.Duration) {
 	// Observe-only mode (docs/SAMPLING.md): the detector went through its
 	// whole decision — the pair is trapped, the coin flip passed — but no
@@ -609,7 +615,7 @@ func (r *runtime) injectDelay(a Access, d time.Duration) (*trap, time.Duration) 
 		r.tr.Emit(trace.KindDelaySuppressed, a.Thread, a.Obj, a.Op, 0, r.now(), d)
 		return nil, 0
 	}
-	budget := r.budgets.For(int64(a.Thread))
+	budget := &r.threadStateFor(a.Thread).budget
 	grant := budget.Allow(d)
 	if grant <= 0 {
 		return nil, 0
@@ -617,6 +623,7 @@ func (r *runtime) injectDelay(a Access, d time.Duration) (*trap, time.Duration) 
 	t := &trap{access: a, stack: ids.Stack(), cancel: make(chan struct{})}
 	os := r.objStateFor(nil, a.Obj)
 	os.mu.Lock()
+	t.sprang = r.checkForTraps(os, a, func() string { return t.stack }, true)
 	os.traps = append(os.traps, t)
 	os.mu.Unlock()
 	r.parked.Add(1)
@@ -763,6 +770,7 @@ type atomicStats struct {
 	callsSampledOut  atomic.Int64
 	delaysSuppressed atomic.Int64
 	samplerThrottles atomic.Int64
+	stampsRaised     atomic.Int64
 	nearMissGaps     [len(GapHistogram{})]atomic.Int64
 }
 
@@ -788,6 +796,7 @@ func (s *atomicStats) snapshot() Stats {
 		CallsSampledOut:         s.callsSampledOut.Load(),
 		DelaysSuppressed:        s.delaysSuppressed.Load(),
 		SamplerThrottles:        s.samplerThrottles.Load(),
+		StampsRaised:            s.stampsRaised.Load(),
 	}
 	for i := range st.NearMissGaps {
 		st.NearMissGaps[i] = s.nearMissGaps[i].Load()

@@ -159,7 +159,7 @@ func (d *TSVD) OnCall(a Access) {
 			os = rt.objStateFor(st, a.Obj)
 		}
 		os.mu.Lock()
-		found := rt.checkForTraps(os, a, ids.Stack)
+		found := rt.checkForTraps(os, a, ids.Stack, false)
 		os.mu.Unlock()
 		for _, key := range found {
 			d.set.suppress(key)
@@ -296,6 +296,9 @@ func (d *TSVD) OnCall(a Access) {
 	if trap == nil {
 		return
 	}
+	for _, key := range trap.sprang {
+		d.set.suppress(key)
+	}
 	end := rt.now()
 	d.delayMu.Lock()
 	d.recentDelays = append(d.recentDelays, delayRecord{
@@ -409,6 +412,19 @@ func (d *TSVD) recordSlow(st *threadState, os *objState, a Access, t time.Durati
 		n := len(h.entries)
 		if !h.full {
 			n = h.next
+		}
+		// t was read before the lock, so another thread may have recorded a
+		// later-stamped access in between. Raising t to the newest entry
+		// keeps the shared history ordered and every near-miss gap >= 0.
+		if n > 0 {
+			newest := h.next - 1
+			if newest < 0 {
+				newest += len(h.entries)
+			}
+			if at := h.entries[newest].at; at > t {
+				t = at
+				rt.stats.stampsRaised.Add(1)
+			}
 		}
 		for i := 0; i < n; i++ {
 			idx := h.next - 1 - i

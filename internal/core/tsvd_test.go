@@ -535,3 +535,74 @@ func TestNopDetectorInert(t *testing.T) {
 		t.Fatal("Nop detector is not inert")
 	}
 }
+
+// TestViolationSidesResolveSites checks the red-handed path end to end on
+// interned sites: a seeded-trap rendezvous (one thread traps, the other
+// lands inside the delay) yields exactly the seeded bug, and both report
+// sides carry the access's site id with class and method resolved from the
+// registry rather than from the access.
+func TestViolationSidesResolveSites(t *testing.T) {
+	op1 := ids.InternKey("violation_sites.go:1")
+	op2 := ids.InternKey("violation_sites.go:2")
+	const obj = ids.ObjectID(77)
+
+	cfg := config.Defaults(config.AlgoTSVD) // full 100ms delay window
+	cfg.DisableHBInference = true
+	d := mustNew(t, cfg, WithInitialTraps([]report.PairKey{report.KeyOf(op1, op2)}))
+	call := func(th ids.ThreadID, op ids.OpID) {
+		site := d.Sites().ForCall(op, "Dictionary", "Add", true)
+		d.OnCall(Access{Thread: th, Obj: obj, Op: op, Site: site, Kind: KindWrite})
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		call(1, op1) // traps: the pair is seeded
+	}()
+	time.Sleep(cfg.EffectiveDelay() / 4) // land inside the delay
+	call(2, op2)
+	<-done
+
+	bugs := d.Reports().Bugs()
+	if len(bugs) != 1 || bugs[0].Key != report.KeyOf(op1, op2) {
+		t.Fatalf("bugs = %+v, want exactly (op1, op2)", bugs)
+	}
+	v := d.Reports().Violations()[0]
+	for _, side := range []report.Side{v.Trapped, v.Conflicting} {
+		if side.Site == 0 {
+			t.Fatalf("report side carries no site id: %+v", side)
+		}
+		if side.Class != "Dictionary" || side.Method != "Add" {
+			t.Fatalf("metadata not resolved from registry: %+v", side)
+		}
+	}
+}
+
+// TestRegistrationSpringsLiveTrap covers two threads that both pass their
+// entry trap check before either has parked: the later one must spring the
+// earlier one's trap when it registers its own, instead of both sleeping
+// side by side with the violation unseen.
+func TestRegistrationSpringsLiveTrap(t *testing.T) {
+	d := mustNew(t, testConfig(config.AlgoTSVD)).(*TSVD)
+	const obj = ids.ObjectID(31)
+	first := make(chan time.Duration)
+	go func() {
+		start := time.Now()
+		d.rt.injectDelay(acc(1, obj, 3101, KindWrite), d.rt.maxDelay)
+		first <- time.Since(start)
+	}()
+	for d.rt.parked.Load() == 0 {
+		time.Sleep(100 * time.Microsecond)
+	}
+	// Thread 2 goes straight to its delay, as if its entry check had run
+	// just before thread 1 registered.
+	trap, _ := d.rt.injectDelay(acc(2, obj, 3102, KindWrite), time.Millisecond)
+	if trap == nil || len(trap.sprang) != 1 || trap.sprang[0] != report.KeyOf(3101, 3102) {
+		t.Fatalf("registration sprang %+v, want exactly (3101, 3102)", trap)
+	}
+	if slept := <-first; slept >= d.rt.maxDelay {
+		t.Fatalf("sprung trap slept its full %v; it was not woken", slept)
+	}
+	if got := d.Reports().UniqueBugs(); got != 1 {
+		t.Fatalf("UniqueBugs = %d, want 1", got)
+	}
+}

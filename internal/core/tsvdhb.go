@@ -163,7 +163,7 @@ func (d *TSVDHB) OnCall(a Access) {
 
 	if rt.parked.Load() > 0 {
 		os.mu.Lock()
-		found := rt.checkForTraps(os, a, ids.Stack)
+		found := rt.checkForTraps(os, a, ids.Stack, false)
 		os.mu.Unlock()
 		for _, key := range found {
 			d.set.suppress(key)
@@ -275,7 +275,13 @@ func (d *TSVDHB) OnCall(a Access) {
 		rt.tr.Emit(trace.KindDelayPlanned, a.Thread, a.Obj, a.Op, 0, rt.now(), rt.delayTime)
 	}
 	trap, _ := rt.injectDelay(a, rt.delayTime) // sleeps unlocked
-	if trap != nil && !trap.conflict {
+	if trap == nil {
+		return
+	}
+	for _, key := range trap.sprang {
+		d.set.suppress(key)
+	}
+	if !trap.conflict {
 		d.set.decayAfterFailedDelay(a.Op, rt.cfg.DecayFactor,
 			rt.cfg.PruneProbability, &rt.stats, rt.tr, rt.now())
 	}

@@ -33,7 +33,7 @@ func (d *DynamicRandom) OnCall(a Access) {
 	if d.rt.parked.Load() > 0 {
 		if os := d.rt.objs.Get(int64(a.Obj)); os != nil {
 			os.mu.Lock()
-			d.rt.checkForTraps(os, a, ids.Stack)
+			d.rt.checkForTraps(os, a, ids.Stack, false)
 			os.mu.Unlock()
 		}
 	}
@@ -118,7 +118,7 @@ func (s *StaticRandom) OnCall(a Access) {
 	if s.rt.parked.Load() > 0 {
 		if os := s.rt.objs.Get(int64(a.Obj)); os != nil {
 			os.mu.Lock()
-			s.rt.checkForTraps(os, a, ids.Stack)
+			s.rt.checkForTraps(os, a, ids.Stack, false)
 			os.mu.Unlock()
 		}
 	}

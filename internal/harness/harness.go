@@ -499,6 +499,7 @@ func sumStats(a, b core.Stats) core.Stats {
 	a.CallsSampledOut += b.CallsSampledOut
 	a.DelaysSuppressed += b.DelaysSuppressed
 	a.SamplerThrottles += b.SamplerThrottles
+	a.StampsRaised += b.StampsRaised
 	a.NearMissGaps.Add(b.NearMissGaps)
 	return a
 }

@@ -248,18 +248,18 @@ func TestSqrtCacheScenario(t *testing.T) {
 			// A shared "dict" accessed through OnCall directly: Add
 			// (write) at one site, ContainsKey (read) at another.
 			const dictObj = ids.ObjectID(77)
+			readSite := det.Sites().ForCall(7701, "Dictionary", "ContainsKey", false)
+			writeSite := det.Sites().ForCall(7702, "Dictionary", "Add", true)
 			getSqrt := func(x float64) *Task[float64] {
 				return Run(s, func() float64 {
-					core.OnCallLegacy(det, core.AccessLegacy{
+					det.OnCall(core.Access{
 						Thread: ids.CurrentThreadID(), Obj: dictObj,
-						Op: 7701, Kind: core.KindRead,
-						Class: "Dictionary", Method: "ContainsKey",
+						Op: 7701, Site: readSite, Kind: core.KindRead,
 					})
 					time.Sleep(time.Millisecond)
-					core.OnCallLegacy(det, core.AccessLegacy{
+					det.OnCall(core.Access{
 						Thread: ids.CurrentThreadID(), Obj: dictObj,
-						Op: 7702, Kind: core.KindWrite,
-						Class: "Dictionary", Method: "Add",
+						Op: 7702, Site: writeSite, Kind: core.KindWrite,
 					})
 					return x
 				})

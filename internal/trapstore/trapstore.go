@@ -118,7 +118,7 @@ func newInstr(tracer *trace.Tracer, endpoint string) instr {
 // histograms on reg (docs/OBSERVABILITY.md, "Live metrics"). The counters
 // are function-backed reads of the same atomics Totals snapshots, so the
 // exported series reconcile exactly against the wire accounting —
-// cmd/tsvd-metrics-check enforces this. reg may be nil (no-op). One registry
+// internal/harness TestSmokeMetrics enforces this. reg may be nil (no-op). One registry
 // should carry at most one store client: the series are unlabeled by store.
 func (i *instr) register(reg *metrics.Registry) {
 	if reg == nil {

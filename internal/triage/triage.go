@@ -257,7 +257,9 @@ func wilson(successes, trials int64) (low, high float64) {
 	denom := 1 + z2/n
 	center := p + z2/(2*n)
 	margin := z * math.Sqrt(p*(1-p)/n+z2/(4*n*n))
-	return (center - margin) / denom, (center + margin) / denom
+	// At p = 0 or 1 a bound is exactly 0 or 1 in theory, but rounding can
+	// land it a few ulps outside; a probability bound must stay in [0, 1].
+	return max(0, (center-margin)/denom), min(1, (center+margin)/denom)
 }
 
 // rankOf fills a Rank from the unit counts.

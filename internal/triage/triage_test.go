@@ -83,11 +83,20 @@ func TestWilsonInterval(t *testing.T) {
 		t.Fatalf("wilson(8,10) = [%v, %v]", low, high)
 	}
 	low, high = wilson(10, 10)
-	if high != 1 && high < 0.999 {
+	if high != 1 {
 		t.Fatalf("wilson(10,10) high = %v", high)
 	}
 	if low < 0.69 || low > 0.73 {
 		t.Fatalf("wilson(10,10) low = %v", low)
+	}
+	// The bounds are probabilities for every count, including the
+	// all-or-nothing ones where rounding used to push them past 0 or 1.
+	for n := int64(1); n <= 100; n++ {
+		for _, k := range []int64{0, n} {
+			if low, high := wilson(k, n); low < 0 || high > 1 || low > high {
+				t.Fatalf("wilson(%d,%d) = [%v, %v], want 0 <= low <= high <= 1", k, n, low, high)
+			}
+		}
 	}
 }
 

@@ -290,7 +290,10 @@ func (b *blockBuilder) addHBShadowedBug() {
 			// Phase 1: strict ad-hoc ordering s1 → s2, invisible to the
 			// detector (plain channel).
 			const ordered = 5
+			// Only d1 watches the deadline; d2 follows every baton it
+			// passed, so d2 can never wait for one that will not come.
 			d1 := spawn(func() {
+				defer close(baton)
 				for i := 0; i < ordered && !env.expired(); i++ {
 					env.call(s1, obj)
 					baton <- struct{}{}
@@ -298,8 +301,7 @@ func (b *blockBuilder) addHBShadowedBug() {
 				}
 			})
 			d2 := spawn(func() {
-				for i := 0; i < ordered && !env.expired(); i++ {
-					<-baton
+				for range baton {
 					env.call(s2, obj)
 				}
 			})

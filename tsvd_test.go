@@ -301,6 +301,68 @@ func TestSessionSnapshotAndPublicMetrics(t *testing.T) {
 	}
 }
 
+// TestSmokeSessionMetrics pins the public metrics surface exactly on
+// workloads whose counters are deterministic. A single-goroutine session
+// can neither near-miss nor trap, so every container op is one OnCall and
+// all else is zero; an untraced session has no tracer, so both trace
+// counters read zero, not merely "no drops". A sampled session at p=0
+// samples out every call: the skip counter equals the op count, OnCalls
+// still counts the skips, and the probability gauge reads 0.
+func TestSmokeSessionMetrics(t *testing.T) {
+	const ops = 100
+	reg := NewMetricsRegistry()
+	s, err := Install(DefaultConfig().Scaled(0.02), WithDetectorMetrics(NewDetectorMetrics(reg)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dict := NewDictionary[int, int]()
+	for i := 0; i < ops; i++ {
+		dict.Set(i, i)
+	}
+	snap := s.Snapshot()
+	if snap.Stats.OnCalls != ops || snap.Stats.NearMisses != 0 || snap.Bugs != 0 || snap.TrapSetPairs != 0 {
+		t.Errorf("session snapshot off: %+v (want OnCalls=%d, all else zero)", snap, ops)
+	}
+	got := reg.Values()
+	for series, want := range map[string]float64{
+		"tsvd_detector_on_calls_total":    ops,
+		"tsvd_detector_near_misses_total": 0,
+		"tsvd_detector_instances":         1,
+		"tsvd_trace_emitted_total":        0,
+		"tsvd_trace_dropped_total":        0,
+	} {
+		if got[series] != want {
+			t.Errorf("session: %s = %v, want %v", series, got[series], want)
+		}
+	}
+	s.Close()
+
+	sreg := NewMetricsRegistry()
+	cfg := DefaultConfig().Scaled(0.02)
+	cfg.Mode = ModeSampled
+	cfg.SampleProbability = 0
+	ss, err := Install(cfg, WithDetectorMetrics(NewDetectorMetrics(sreg)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ss.Close()
+	sdict := NewDictionary[int, int]()
+	for i := 0; i < ops; i++ {
+		sdict.Set(i, i)
+	}
+	sgot := sreg.Values()
+	for series, want := range map[string]float64{
+		"tsvd_sampler_calls_sampled_out_total": ops,
+		"tsvd_detector_on_calls_total":         ops,
+		"tsvd_sampler_probability":             0,
+		"tsvd_detector_near_misses_total":      0,
+	} {
+		if sgot[series] != want {
+			t.Errorf("sampled session: %s = %v, want %v", series, sgot[series], want)
+		}
+	}
+}
+
 func TestAllPublicConstructors(t *testing.T) {
 	install(t)
 	NewDictionary[int, int]().Set(1, 1)
